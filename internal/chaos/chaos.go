@@ -19,13 +19,13 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"appx/internal/cache"
 	"appx/internal/cluster"
 	"appx/internal/httpmsg"
+	"appx/internal/metrics"
 	"appx/internal/netem"
 	"appx/internal/obs"
 	"appx/internal/persist"
@@ -535,23 +535,6 @@ func (h *Harness) SeedAsset(i, j int) {
 	})
 }
 
-// durQuantile is the nearest-rank quantile of the collected latencies in ms.
-func durQuantile(ds []time.Duration, q float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(len(sorted))*q+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx].Nanoseconds()) / 1e6
-}
-
 // collect gathers per-node counters into the report while nodes are live.
 func (h *Harness) collect(rep *Report) {
 	for _, n := range h.nodes {
@@ -585,8 +568,9 @@ func (h *Harness) collect(rep *Report) {
 	rep.Sheds = h.sheds
 	rep.Failures = h.failures
 	rep.Origin = h.origin.Load()
-	rep.P50Ms = durQuantile(h.latencies, 0.50)
-	rep.P99Ms = durQuantile(h.latencies, 0.99)
+	lat := metrics.NewDigest(h.latencies)
+	rep.P50Ms = float64(lat.Quantile(0.50).Nanoseconds()) / 1e6
+	rep.P99Ms = float64(lat.Quantile(0.99).Nanoseconds()) / 1e6
 	if served := rep.Requests - rep.Sheds; served > 0 {
 		rep.Availability = float64(rep.OK) / float64(served)
 	}

@@ -9,12 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"appx/internal/cluster"
 	"appx/internal/httpmsg"
+	"appx/internal/metrics"
 	"appx/internal/proxy"
 )
 
@@ -287,19 +287,6 @@ func (d *csDriver) session(user string) error {
 	return nil
 }
 
-func durP95(ds []time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (len(sorted)*95+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return float64(sorted[idx].Nanoseconds()) / 1e6
-}
-
 // csResult is everything a grid point needs from one fleet run, collected
 // before the fleet is torn down.
 type csResult struct {
@@ -408,8 +395,8 @@ func RunClusterSweep(seed int64) (*ClusterSweep, error) {
 			PeerFillHits:   rc.peerFillHits,
 			PeerFillMisses: rc.peerFillMisses,
 			Forwarded:      rc.forwarded,
-			LocalP95Ms:     durP95(rc.localLat),
-			FwdP95Ms:       durP95(rc.fwdLat),
+			LocalP95Ms:     float64(metrics.NewDigest(rc.localLat).Quantile(0.95).Nanoseconds()) / 1e6,
+			FwdP95Ms:       float64(metrics.NewDigest(rc.fwdLat).Quantile(0.95).Nanoseconds()) / 1e6,
 		}
 		if rc.hits+rc.misses > 0 {
 			row.HitRatio = float64(rc.hits) / float64(rc.hits+rc.misses)

@@ -45,9 +45,12 @@ type Overload struct {
 	Admitted           int64   `json:"admitted"`
 	AdmissionShed      int64   `json:"admissionShed"`
 	GovernorSuppressed int64   `json:"governorSuppressed"`
-	ClientP50Ms        int64   `json:"clientP50Ms"`
-	ClientP95Ms        int64   `json:"clientP95Ms"`
-	ClientP99Ms        int64   `json:"clientP99Ms"`
+	// ClientP50Ms/P95Ms/P99Ms are client-latency quantiles over the last
+	// governor interval, bucket-interpolated from appx_client_latency_seconds;
+	// ClientP95Ms is the governor's p95 signal.
+	ClientP50Ms int64 `json:"clientP50Ms"`
+	ClientP95Ms int64 `json:"clientP95Ms"`
+	ClientP99Ms int64 `json:"clientP99Ms"`
 }
 
 // SchedClass is one priority class's scheduler counters.

@@ -189,49 +189,10 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reports the accumulated duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0..1) from the bucket counts: the
-// nearest-rank bucket is found by cumulative count, then the value is
-// interpolated linearly inside it. 0 when empty. The overflow bucket
-// reports its lower bound (the largest finite bound) — an estimate can
-// never exceed what the buckets resolve.
+// Quantile estimates the q-quantile (0..1) of everything observed so far;
+// see HistogramSnapshot.Quantile.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		var lo time.Duration
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if i == len(h.bounds) {
-			return lo // overflow bucket: clamp to the largest finite bound
-		}
-		hi := h.bounds[i]
-		frac := float64(rank-cum) / float64(c)
-		return lo + time.Duration(frac*float64(hi-lo))
-	}
-	return h.bounds[len(h.bounds)-1]
+	return h.Snapshot().Quantile(q)
 }
 
 // BucketCount is one bucket of a histogram snapshot.
@@ -260,6 +221,60 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Sum = time.Duration(h.sum.Load())
 	return s
+}
+
+// Sub returns the observations made between prev and s, two snapshots of
+// one histogram with prev taken first: the bucket-count delta. A zero prev
+// (no buckets) returns s unchanged, so the first window is everything
+// observed so far.
+func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
+	d := HistogramSnapshot{
+		Count:   s.Count - prev.Count,
+		Sum:     s.Sum - prev.Sum,
+		Buckets: append([]BucketCount(nil), s.Buckets...),
+	}
+	for i := range prev.Buckets {
+		d.Buckets[i].Count -= prev.Buckets[i].Count
+	}
+	return d
+}
+
+// Quantile estimates the q-quantile (0..1) from the bucket counts: the
+// nearest-rank bucket is found by cumulative count, then the value is
+// interpolated linearly inside it. 0 when empty. The overflow bucket
+// reports its lower bound (the largest finite bound) — an estimate can
+// never exceed what the buckets resolve.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	if s.Count <= 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := int64(math.Ceil(q * float64(s.Count)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	var lo time.Duration
+	for _, b := range s.Buckets {
+		if cum+b.Count < rank {
+			cum += b.Count
+			if b.UpperBound > 0 {
+				lo = b.UpperBound
+			}
+			continue
+		}
+		if b.UpperBound == 0 {
+			return lo // overflow bucket: clamp to the largest finite bound
+		}
+		frac := float64(rank-cum) / float64(b.Count)
+		return lo + time.Duration(frac*float64(b.UpperBound-lo))
+	}
+	return lo
 }
 
 // fmtFloat renders a float the way Prometheus expects.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +96,50 @@ func TestHistogramOverflowBucketClamps(t *testing.T) {
 	}
 	if h.Sum() != time.Hour {
 		t.Fatalf("sum = %v", h.Sum())
+	}
+}
+
+// TestSnapshotSubQuantileMatchesHistogram: the quantile of a snapshot delta
+// equals the quantile of a fresh histogram fed only the observations made
+// between the two snapshots, on randomized data spanning every bucket
+// (overflow included) and an empty window.
+func TestSnapshotSubQuantileMatchesHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sample := func() time.Duration {
+		return time.Duration(rng.Int63n(int64(40 * time.Second)))
+	}
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
+	for trial := 0; trial < 50; trial++ {
+		all := NewHistogram(nil)
+		for i := rng.Intn(500); i > 0; i-- {
+			all.Observe(sample())
+		}
+		prev := all.Snapshot()
+		window := NewHistogram(nil)
+		for i := rng.Intn(500); i > 0; i-- {
+			d := sample()
+			all.Observe(d)
+			window.Observe(d)
+		}
+		delta := all.Snapshot().Sub(prev)
+		if delta.Count != window.Count() || delta.Sum != window.Sum() {
+			t.Fatalf("trial %d: delta count/sum = %d/%v, want %d/%v",
+				trial, delta.Count, delta.Sum, window.Count(), window.Sum())
+		}
+		for _, q := range qs {
+			if got, want := delta.Quantile(q), window.Quantile(q); got != want {
+				t.Fatalf("trial %d: delta q%.2f = %v, fresh histogram = %v", trial, q, got, want)
+			}
+			if got, want := all.Snapshot().Quantile(q), all.Quantile(q); got != want {
+				t.Fatalf("trial %d: snapshot q%.2f = %v, histogram = %v", trial, q, got, want)
+			}
+		}
+	}
+	// A zero prev is "since the start": Sub returns the snapshot itself.
+	h := NewHistogram(nil)
+	h.Observe(3 * time.Millisecond)
+	if got, want := h.Snapshot().Sub(HistogramSnapshot{}).Quantile(0.5), h.Quantile(0.5); got != want {
+		t.Fatalf("Sub(zero) median = %v, want %v", got, want)
 	}
 }
 

@@ -2,12 +2,12 @@ package proxy
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"appx/internal/config"
+	"appx/internal/obs"
 )
 
 // This file is the proxy's self-protection layer (the overload-control
@@ -83,53 +83,33 @@ func (g *admitGate) counts() (admitted, shed int64) {
 	return g.admitted.Load(), g.shed.Load()
 }
 
-// latencyRing is a fixed-size window of recent client latencies; quantiles
-// are computed over the window on demand (the window is small, so a copy
-// and sort beats maintaining a digest).
-type latencyRing struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	n    int
-	next int
+// clientWindow is the governor's client-latency signal. Every served request
+// lands in a registry histogram with one wait-free Observe; once per
+// governor interval the first request past the boundary closes the window,
+// the bucket-count delta since the previous close, and the governor acts on
+// that delta's p95. Nothing is sorted or copied per request.
+type clientWindow struct {
+	hist *obs.Histogram
+
+	mu     sync.Mutex            // held by the request closing a window, and by readers
+	prev   obs.HistogramSnapshot // cumulative counts at the last close
+	closed obs.HistogramSnapshot // the last closed window
 }
 
-func newLatencyRing(size int) *latencyRing {
-	if size < 16 {
-		size = 16
-	}
-	return &latencyRing{buf: make([]time.Duration, size)}
+// rollLocked closes the current window and returns it (mu held).
+func (w *clientWindow) rollLocked() obs.HistogramSnapshot {
+	cur := w.hist.Snapshot()
+	w.closed = cur.Sub(w.prev)
+	w.prev = cur
+	return w.closed
 }
 
-// Observe folds one latency sample into the window.
-func (r *latencyRing) Observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Quantile reports the q-quantile (0..1) of the window, 0 when empty.
-func (r *latencyRing) Quantile(q float64) time.Duration {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return 0
-	}
-	tmp := make([]time.Duration, r.n)
-	copy(tmp, r.buf[:r.n])
-	r.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := int(q * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return tmp[idx]
+// Quantile reports the q-quantile of the last closed window,
+// bucket-interpolated; 0 before the first close.
+func (w *clientWindow) Quantile(q float64) time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.closed.Quantile(q)
 }
 
 // governor is the AIMD prefetch controller. Its level (GovernorMinLevel..1)
@@ -142,6 +122,9 @@ func (r *latencyRing) Quantile(q float64) time.Duration {
 type governor struct {
 	cfg config.Overload
 	now func() time.Time
+	// next is the next adjustment boundary in Unix nanoseconds, published
+	// for Due's lock-free check on the request path; 0 until anchored.
+	next atomic.Int64
 
 	mu         sync.Mutex
 	level      float64
@@ -162,7 +145,7 @@ func (g *governor) Observe(queueFrac float64, p95 time.Duration, shed bool) {
 	defer g.mu.Unlock()
 	now := g.now()
 	if g.lastAdjust.IsZero() {
-		g.lastAdjust = now
+		g.setLastAdjust(now)
 	}
 	if shed {
 		g.lastShed = now
@@ -188,8 +171,19 @@ func (g *governor) Observe(queueFrac float64, p95 time.Duration, shed bool) {
 		g.increases++
 	}
 	g.overloaded = false
-	g.lastAdjust = now
+	g.setLastAdjust(now)
 }
+
+// setLastAdjust records an adjustment boundary and publishes the next one
+// (mu held).
+func (g *governor) setLastAdjust(t time.Time) {
+	g.lastAdjust = t
+	g.next.Store(t.Add(time.Duration(g.cfg.GovernorInterval)).UnixNano())
+}
+
+// Due reports, without locking, whether now has reached the next
+// adjustment boundary — always true before the first Observe anchors one.
+func (g *governor) Due(now time.Time) bool { return now.UnixNano() >= g.next.Load() }
 
 // Level reports the current prefetch level.
 func (g *governor) Level() float64 {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -297,4 +299,180 @@ func TestStatsExposeOverloadAndSched(t *testing.T) {
 	var health adminv1.HealthResponse
 	fetch(adminv1.PathHealth, &health)
 	check(adminv1.PathHealth, health.Overload, health.Sched)
+}
+
+// fakeClock is a settable clock the proxy's own goroutines (sweeper,
+// workers) may read while the test advances it.
+type fakeClock struct{ ns atomic.Int64 }
+
+func newFakeClock() *fakeClock {
+	c := &fakeClock{}
+	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	return c
+}
+
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestGovernorSamplesIntervalP95: a real proxy with a fake clock and a slow
+// origin. Requests inside a governor interval only feed the latency window;
+// the first request past the interval closes it, and a window whose p95
+// exceeds the target halves the level. A clean window steps it back.
+func TestGovernorSamplesIntervalP95(t *testing.T) {
+	clk := newFakeClock()
+	var slow atomic.Bool
+	slow.Store(true)
+	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+		if slow.Load() {
+			clk.Advance(80 * time.Millisecond)
+		}
+		return &httpmsg.Response{Status: 200, Body: []byte("ok")}, nil
+	})
+	g := sig.NewGraph("t")
+	cfg := config.Default(g)
+	cfg.Overload = &config.Overload{
+		GovernorInterval: config.Duration(100 * time.Millisecond),
+		TargetP95:        config.Duration(50 * time.Millisecond),
+	}
+	p := New(Options{Graph: g, Config: cfg, Upstream: up, DisablePrefetch: true, Now: clk.Now})
+	t.Cleanup(p.Close)
+	serve := func() {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest("GET", "http://app.example/x", nil))
+		if rec.Code != 200 {
+			t.Fatalf("request = %d, want 200", rec.Code)
+		}
+	}
+	level := func(want float64) {
+		t.Helper()
+		if got := p.OverloadLevel(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("level = %v, want %v", got, want)
+		}
+	}
+
+	serve() // t0+80ms: the first request anchors the governor's interval
+	serve() // t0+160ms: inside the interval, only observed
+	level(1)
+	serve() // t0+240ms: first request past the interval closes the slow window
+	level(0.5)
+	if p95 := p.ClientLatencyQuantile(0.95); p95 <= 50*time.Millisecond {
+		t.Fatalf("closed window p95 = %v, want past the 50ms target", p95)
+	}
+
+	slow.Store(false)
+	serve() // fast, but inside the new interval
+	level(0.5)
+	clk.Advance(101 * time.Millisecond)
+	serve() // closes a clean window
+	level(0.6)
+	if p95 := p.ClientLatencyQuantile(0.95); p95 > time.Millisecond {
+		t.Fatalf("clean window p95 = %v, want ≤ 1ms", p95)
+	}
+	if dec, inc := p.gov.Adjustments(); dec != 1 || inc != 1 {
+		t.Fatalf("adjustments = %d/%d, want 1/1", dec, inc)
+	}
+}
+
+// TestGovernorSeesDrainedQueueBurst: a prefetch fan-out fills the queue past
+// its high-water mark and drains completely before the next sample; the
+// sampled peak still marks the interval overloaded.
+func TestGovernorSeesDrainedQueueBurst(t *testing.T) {
+	release := make(chan struct{})
+	up := UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+		if r.Path == "/list" {
+			body, _ := json.Marshal(map[string]any{"ids": []string{"p0", "p1", "p2", "p3", "p4", "p5"}})
+			return &httpmsg.Response{Status: 200,
+				Header: []httpmsg.Field{{Key: "Content-Type", Value: "application/json"}},
+				Body:   body}, nil
+		}
+		for _, q := range r.Query {
+			if q.Key == "id" && strings.HasPrefix(q.Value, "p") {
+				<-release // prefetches hold the single worker until released
+			}
+		}
+		return &httpmsg.Response{Status: 200, Body: []byte(`{}`)}, nil
+	})
+	g := overloadGraph()
+	cfg := config.Default(g)
+	cfg.Overload = &config.Overload{
+		GovernorInterval: config.Duration(100 * time.Millisecond),
+		MaxQueue:         4,
+		QueueHighWater:   0.5,
+	}
+	clk := newFakeClock()
+	p := New(Options{Graph: g, Config: cfg, Upstream: up, Workers: 1,
+		Now:  clk.Now,
+		Rand: func() float64 { return 0 },
+	})
+	t.Cleanup(p.Close)
+	pt := &proxyTransport{p: p, user: "burst-user"}
+	get := func(path, id string) {
+		t.Helper()
+		req := &httpmsg.Request{Method: "GET", Host: "app.example", Path: path}
+		if id != "" {
+			req.Query = []httpmsg.Field{{Key: "id", Value: id}}
+		}
+		if resp, err := pt.RoundTrip(req); err != nil || resp.Status != 200 {
+			t.Fatalf("%s: %v %v", path, resp, err)
+		}
+	}
+
+	get("/item", "seed") // teaches the exemplar and anchors the governor
+	get("/list", "")     // fans out six prefetches behind one blocked worker
+	close(release)
+	p.Drain()
+	if n := p.sched.QueueLen(); n != 0 {
+		t.Fatalf("queue after drain = %d, want 0", n)
+	}
+	if lvl := p.OverloadLevel(); lvl != 1 {
+		t.Fatalf("level before the sample = %v, want 1", lvl)
+	}
+	clk.Advance(101 * time.Millisecond)
+	get("/item", "seed2") // first request past the interval samples the peak
+	if lvl := p.OverloadLevel(); lvl != 0.5 {
+		t.Fatalf("level after a drained burst = %v, want 0.5", lvl)
+	}
+}
+
+// TestObserveClientOneAdjustmentPerInterval: many goroutines observing at
+// once across interval boundaries produce exactly one governor adjustment
+// per interval — the boundary is claimed by a single request.
+func TestObserveClientOneAdjustmentPerInterval(t *testing.T) {
+	g := sig.NewGraph("t")
+	cfg := config.Default(g)
+	cfg.Overload = &config.Overload{GovernorInterval: config.Duration(100 * time.Millisecond)}
+	clk := newFakeClock()
+	p := New(Options{Graph: g, Config: cfg, DisablePrefetch: true, Now: clk.Now,
+		Upstream: UpstreamFunc(func(ctx context.Context, r *httpmsg.Request) (*httpmsg.Response, error) {
+			return &httpmsg.Response{Status: 200}, nil
+		})})
+	t.Cleanup(p.Close)
+
+	const goroutines, perGoroutine, intervals = 8, 200, 10
+	for k := 0; k <= intervals; k++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < perGoroutine; j++ {
+					p.observeClient(time.Millisecond)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		// Phase 0 only anchors the first interval; each later phase starts
+		// one interval past the previous boundary.
+		if dec, inc := p.gov.Adjustments(); dec+inc != int64(k) {
+			t.Fatalf("after %d boundaries: %d adjustments, want %d", k, dec+inc, k)
+		}
+		clk.Advance(101 * time.Millisecond)
+	}
+	if got, want := p.clientLat.hist.Count(), int64((intervals+1)*goroutines*perGoroutine); got != want {
+		t.Fatalf("histogram count = %d, want %d", got, want)
+	}
 }

@@ -196,8 +196,10 @@ func (p *Proxy) exportState() *persist.State {
 
 	p.mu.Lock()
 	users := make(map[string]*user, len(p.users))
+	lastSeen := make(map[string]time.Time, len(p.users))
 	for k, u := range p.users {
 		users[k] = u
+		lastSeen[k] = u.lastSeen
 	}
 	for id, r := range p.samples {
 		st.Samples[id] = r.Clone()
@@ -206,8 +208,8 @@ func (p *Proxy) exportState() *persist.State {
 
 	for k, u := range users {
 		us := persist.UserState{Key: k, Exemplars: map[string]persist.ExemplarState{}}
+		us.LastSeen = lastSeen[k]
 		u.mu.Lock()
-		us.LastSeen = u.lastSeen
 		for id, ex := range u.exemplars {
 			es := persist.ExemplarState{
 				URIWilds: append([]string(nil), ex.uriWilds...),

@@ -181,12 +181,12 @@ type Proxy struct {
 
 	// Overload-control layer: the admission gate bounds concurrent client
 	// requests, the governor scales speculative prefetching with load, and
-	// clientLat windows recent client latencies for the governor's p95
-	// signal and telemetry.
+	// clientLat windows client latencies per governor interval for the
+	// governor's p95 signal and telemetry.
 	ovl           config.Overload
 	gate          *admitGate
 	gov           *governor
-	clientLat     *latencyRing
+	clientLat     clientWindow
 	govSuppressed atomic.Int64
 	draining      atomic.Bool
 
@@ -250,7 +250,6 @@ type pendingInstance struct {
 	s     *sig.Signature
 	pred  string
 	combo map[string]string
-	doc   any
 	depth int
 }
 
@@ -263,7 +262,7 @@ type user struct {
 	mu        sync.Mutex
 	exemplars map[string]*exemplar         // sigID → latest live example
 	pending   map[string][]pendingInstance // sigID → instances awaiting exemplar
-	lastSeen  time.Time
+	lastSeen  time.Time                    // guarded by Proxy.mu, not mu
 }
 
 // New builds a proxy.
@@ -373,7 +372,8 @@ func New(opts Options) *Proxy {
 	p.ovl = opts.Config.EffectiveOverload()
 	p.gate = newAdmitGate(p.ovl.MaxConcurrentRequests, time.Duration(p.ovl.AdmissionWait))
 	p.gov = newGovernor(p.ovl, func() time.Time { return p.opts.Now() })
-	p.clientLat = newLatencyRing(512)
+	p.clientLat.hist = reg.Histogram("appx_client_latency_seconds",
+		"Client-visible latency of served proxied requests; the governor acts on its per-interval p95.", nil)
 	p.sched = sched.NewWith(sched.Config{
 		Workers:  opts.Workers,
 		Priority: p.stats.Priority,
@@ -535,24 +535,37 @@ func (p *Proxy) GovernorSuppressed() int64 { return p.govSuppressed.Load() }
 // SchedMetrics exposes the prefetch scheduler's per-class counters.
 func (p *Proxy) SchedMetrics() sched.Metrics { return p.sched.Metrics() }
 
-// ClientLatencyQuantile reports the q-quantile of recent client latencies.
+// ClientLatencyQuantile reports the q-quantile of client latencies over the
+// last closed governor interval, bucket-interpolated.
 func (p *Proxy) ClientLatencyQuantile(q float64) time.Duration {
 	return p.clientLat.Quantile(q)
 }
 
-// queueFrac reports the prefetch queue's fill fraction (0..1).
-func (p *Proxy) queueFrac() float64 {
+// queueFrac converts a prefetch queue length to a fill fraction (0..1).
+func (p *Proxy) queueFrac(n int) float64 {
 	if c := p.sched.Cap(); c > 0 {
-		return float64(p.sched.QueueLen()) / float64(c)
+		return float64(n) / float64(c)
 	}
 	return 0
 }
 
-// observeClient folds one client-visible latency into the window and gives
-// the governor a load sample: every served request is a sensor reading.
+// observeClient folds one client-visible latency into the window. The
+// request path stops there unless the governor's next adjustment is due;
+// then exactly one request closes the interval and hands the governor its
+// aggregate signals: the window's p95 and the peak queue fill since the
+// previous sample.
 func (p *Proxy) observeClient(d time.Duration) {
-	p.clientLat.Observe(d)
-	p.gov.Observe(p.queueFrac(), p.clientLat.Quantile(0.95), false)
+	p.clientLat.hist.Observe(d)
+	now := p.opts.Now()
+	if !p.gov.Due(now) || !p.clientLat.mu.TryLock() {
+		return
+	}
+	defer p.clientLat.mu.Unlock()
+	if !p.gov.Due(now) {
+		return // another request closed this interval first
+	}
+	win := p.clientLat.rollLocked()
+	p.gov.Observe(p.queueFrac(p.sched.TakePeak()), win.Quantile(0.95), false)
 }
 
 // effectiveChainDepth scales the configured chain depth by the governor
@@ -673,7 +686,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !p.gate.acquire(r.Context()) {
 		sp.EndStage(obs.StageAdmission)
 		sp.SetOutcome(obs.OutcomeShed)
-		p.gov.Observe(p.queueFrac(), p.clientLat.Quantile(0.95), true)
+		// A shed marks the interval overloaded whatever the p95.
+		p.gov.Observe(p.queueFrac(p.sched.QueueLen()), 0, true)
 		w.Header().Set("Retry-After", p.retryAfter())
 		http.Error(w, "proxy: overloaded", http.StatusServiceUnavailable)
 		return
@@ -1293,7 +1307,7 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			delete(u.pending, s.ID)
 			u.mu.Unlock()
 			for _, pi := range released {
-				p.instantiate(u, pi.s, pi.pred, pi.combo, pi.doc, pi.depth)
+				p.instantiate(u, pi.s, pi.pred, pi.combo, pi.depth)
 			}
 		}
 	}
@@ -1362,14 +1376,14 @@ func (p *Proxy) learn(u *user, s *sig.Signature, req *httpmsg.Request, resp *htt
 			continue
 		}
 		for _, combo := range combos {
-			p.instantiate(u, fo.succ, s.ID, combo, doc, depth)
+			p.instantiate(u, fo.succ, s.ID, combo, depth)
 		}
 	}
 }
 
 // instantiate materializes one successor instance, parking it when run-time
 // values are still missing, and schedules the prefetch when ready.
-func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[string]string, doc any, depth int) {
+func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[string]string, depth int) {
 	u.mu.Lock()
 	ex := u.exemplars[s.ID]
 	u.mu.Unlock()
@@ -1381,7 +1395,7 @@ func (p *Proxy) instantiate(u *user, s *sig.Signature, pred string, combo map[st
 	if ex == nil {
 		u.mu.Lock()
 		if len(u.pending[s.ID]) < p.opts.MaxPendingPerSig {
-			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{s: s, pred: pred, combo: combo, doc: doc, depth: depth})
+			u.pending[s.ID] = append(u.pending[s.ID], pendingInstance{s: s, pred: pred, combo: combo, depth: depth})
 			u.mu.Unlock()
 			return
 		}

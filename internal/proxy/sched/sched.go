@@ -180,6 +180,7 @@ type Scheduler struct {
 	inbox      []*Task
 	ready      taskHeap
 	seq        int64
+	peak       int // highest queue length since the last TakePeak
 	closed     bool
 	wg         sync.WaitGroup
 	pending    sync.WaitGroup
@@ -259,6 +260,9 @@ func (s *Scheduler) Submit(t *Task) bool {
 	}
 	s.classes[c].Submitted++
 	s.inbox = append(s.inbox, t)
+	if n := len(s.inbox) + len(s.ready); n > s.peak {
+		s.peak = n
+	}
 	s.pending.Add(1)
 	s.mu.Unlock()
 	s.cond.Signal()
@@ -270,6 +274,19 @@ func (s *Scheduler) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.inbox) + len(s.ready)
+}
+
+// TakePeak reports the highest queue length reached since the previous call
+// and restarts the watermark at the current length. A caller sampling queue
+// pressure once per control interval thereby sees a burst that filled and
+// drained between two samples; the queue only grows in Submit, so the peak
+// is exact.
+func (s *Scheduler) TakePeak() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	peak := s.peak
+	s.peak = len(s.inbox) + len(s.ready)
+	return peak
 }
 
 // Cap reports the queue bound.

@@ -194,6 +194,32 @@ func TestQueueLen(t *testing.T) {
 	s.Drain()
 }
 
+// TestTakePeak: a burst that fills the queue and drains before the next
+// sample is still reported, and taking the peak restarts the watermark at
+// the current queue length.
+func TestTakePeak(t *testing.T) {
+	s := New(1, func(string) float64 { return 0 })
+	defer s.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s.Submit(&Task{SigID: "block", Run: func() { close(started); <-release }})
+	<-started
+	for _, id := range []string{"x", "y", "z"} {
+		s.Submit(&Task{SigID: id, Run: func() {}})
+	}
+	close(release)
+	s.Drain()
+	if n := s.QueueLen(); n != 0 {
+		t.Fatalf("QueueLen after drain = %d, want 0", n)
+	}
+	if p := s.TakePeak(); p != 3 {
+		t.Fatalf("TakePeak after drained burst = %d, want 3", p)
+	}
+	if p := s.TakePeak(); p != 0 {
+		t.Fatalf("second TakePeak on an idle queue = %d, want 0", p)
+	}
+}
+
 func TestDoubleCloseSafe(t *testing.T) {
 	s := New(2, func(string) float64 { return 0 })
 	s.Close()

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,22 +94,29 @@ func buildRejectingApp(t testing.TB) (*apk.APK, http.Handler) {
 		t.Fatal(err)
 	}
 
+	// Live requests and prefetch workers reach the origin concurrently.
+	var mu sync.Mutex
 	used := map[string]bool{}
 	n := 0
 	mux := http.NewServeMux()
 	mux.HandleFunc("/token", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
 		n++
 		tok := fmt.Sprintf("tok-%d", n)
+		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"token":%q}`, tok)
 	})
 	mux.HandleFunc("/use", func(w http.ResponseWriter, r *http.Request) {
 		tok := r.URL.Query().Get("t")
-		if used[tok] {
+		mu.Lock()
+		reused := used[tok]
+		used[tok] = true
+		mu.Unlock()
+		if reused {
 			http.Error(w, "token reuse", http.StatusForbidden)
 			return
 		}
-		used[tok] = true
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"ok":true}`)
 	})

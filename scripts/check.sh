@@ -45,6 +45,16 @@ echo "== obs bench smoke + alloc gate"
 go test ./internal/obs/ -run 'Allocs' -bench 'BenchmarkSpanRecord|BenchmarkHistogramObserve' -benchtime 1x
 go test -race -count=1 ./internal/obs/ -run TestRegistryConcurrentObserveAndScrape
 
+# Proxy hot-path gate: TestServeHTTPAllocBudget pins allocs/op and bytes/op
+# of a whole ServeHTTP on the passthrough and prefetch-hit paths (it skips
+# under -race, where sync.Pool makes counts nondeterministic, so it runs
+# here without). A per-request latency-window copy or sort breaks the
+# bytes budget. The benchmark reports ns/op for both paths; wall clock is
+# not gated.
+echo "== proxy hot-path gate"
+go test -count=1 ./internal/proxy/ -run TestServeHTTPAllocBudget
+go test ./internal/proxy/ -run '^$' -bench BenchmarkServeHTTP -benchmem -benchtime 2000x
+
 # Persistence smoke gate: the corrupt-restore ladder (every corruption mode
 # must degrade to a counted cold start, never a panic) runs race-enabled with
 # -count=1, and the disk-tier codec/spill/load benches must still compile and
